@@ -31,15 +31,17 @@ lint-vet:
 	rm -f $(CURDIR)/.reprolint.bin
 
 # race-test every package with concurrent internals: the executor and
-# policy registries, plus the server, sweep engine and the packages
-# their request paths thread through.
+# policy registries, the server, sweep engine and the packages their
+# request paths thread through, and the workflow graph and its DAX
+# writer, whose finalized file views memoized workflows share.
 race:
-	$(GO) test -race ./internal/exec/ ./internal/policy/ ./internal/server/ ./internal/store/ ./internal/shard/ ./internal/sweep/ ./internal/montage/ ./internal/experiments/ ./internal/core/ ./internal/advisor/ ./cmd/reprosrv/ ./cmd/montagesim/ ./wire/
+	$(GO) test -race ./internal/dag/ ./internal/dax/ ./internal/exec/ ./internal/policy/ ./internal/server/ ./internal/store/ ./internal/shard/ ./internal/sweep/ ./internal/montage/ ./internal/experiments/ ./internal/core/ ./internal/advisor/ ./cmd/reprosrv/ ./cmd/montagesim/ ./wire/
 
 # bench runs the benchmark suites with repeats (BENCH_COUNT, default 3)
 # and writes one baseline per suite at the repo root: BENCH_exec.json
-# (executor + event engine), BENCH_sweep.json (sweep-engine kernel) and
-# BENCH_store.json (disk-store put/get/scan).
+# (executor + event engine), BENCH_sweep.json (sweep-engine kernel),
+# BENCH_store.json (disk-store put/get/scan) and BENCH_gen.json (mosaic
+# generation and workflow-graph construction).
 bench:
 	sh scripts/bench.sh
 

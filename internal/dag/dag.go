@@ -21,7 +21,9 @@ package dag
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 
 	"repro/internal/units"
 )
@@ -79,15 +81,24 @@ type Workflow struct {
 	Name  string
 	tasks []*Task
 	files map[string]*File
+	// taskIDs indexes tasks by name for AddTask's duplicate check.  It is
+	// a build-time structure: Finalize drops it, so a memoized workflow
+	// does not carry it.
+	taskIDs map[string]TaskID
 
 	finalized bool
 	order     []TaskID // topological order, computed by Finalize
 	maxLevel  int
+
+	// Name-sorted file views, built once by Finalize and read-only after.
+	sorted   []*File
+	external []*File
+	outputs  []*File
 }
 
 // New returns an empty workflow with the given name.
 func New(name string) *Workflow {
-	return &Workflow{Name: name, files: make(map[string]*File)}
+	return &Workflow{Name: name, files: make(map[string]*File), taskIDs: make(map[string]TaskID)}
 }
 
 // AddFile registers a file.  Size must be non-negative and the name
@@ -112,7 +123,8 @@ func (w *Workflow) AddFile(name string, size units.Bytes, output bool) (*File, e
 
 // AddTask registers a task reading the named input files and writing the
 // named output files.  All files must already exist, and each output file
-// must not already have a producer.
+// must not already have a producer.  A rejected task leaves the workflow
+// unchanged.
 func (w *Workflow) AddTask(name, typ string, runtime units.Duration, inputs, outputs []string) (*Task, error) {
 	if w.finalized {
 		return nil, errors.New("dag: workflow already finalized")
@@ -123,18 +135,15 @@ func (w *Workflow) AddTask(name, typ string, runtime units.Duration, inputs, out
 	if runtime < 0 {
 		return nil, fmt.Errorf("dag: task %q has negative runtime %v", name, runtime)
 	}
-	for _, t := range w.tasks {
-		if t.Name == name {
-			return nil, fmt.Errorf("dag: duplicate task %q", name)
-		}
+	if _, dup := w.taskIDs[name]; dup {
+		return nil, fmt.Errorf("dag: duplicate task %q", name)
 	}
-	id := TaskID(len(w.tasks))
-	t := &Task{
-		ID: id, Name: name, Type: typ, Runtime: runtime,
-		Inputs: append([]string(nil), inputs...), Outputs: append([]string(nil), outputs...),
-	}
+	// Validate every input and output before touching any file, so a
+	// rejected task leaves no consumer or producer link behind.
+	var buf [8]*File
+	used := buf[:0]
 	seen := make(map[string]bool, len(inputs)+len(outputs))
-	for _, in := range t.Inputs {
+	for _, in := range inputs {
 		f, ok := w.files[in]
 		if !ok {
 			return nil, fmt.Errorf("dag: task %q reads unknown file %q", name, in)
@@ -143,9 +152,9 @@ func (w *Workflow) AddTask(name, typ string, runtime units.Duration, inputs, out
 			return nil, fmt.Errorf("dag: task %q lists file %q twice", name, in)
 		}
 		seen[in] = true
-		f.consumers = append(f.consumers, id)
+		used = append(used, f)
 	}
-	for _, out := range t.Outputs {
+	for _, out := range outputs {
 		f, ok := w.files[out]
 		if !ok {
 			return nil, fmt.Errorf("dag: task %q writes unknown file %q", name, out)
@@ -157,14 +166,28 @@ func (w *Workflow) AddTask(name, typ string, runtime units.Duration, inputs, out
 		if f.Producer != NoTask {
 			return nil, fmt.Errorf("dag: file %q produced by two tasks", out)
 		}
+		used = append(used, f)
+	}
+	id := TaskID(len(w.tasks))
+	for _, f := range used[:len(inputs)] {
+		f.consumers = append(f.consumers, id)
+	}
+	for _, f := range used[len(inputs):] {
 		f.Producer = id
 	}
+	t := &Task{
+		ID: id, Name: name, Type: typ, Runtime: runtime,
+		Inputs: append([]string(nil), inputs...), Outputs: append([]string(nil), outputs...),
+	}
 	w.tasks = append(w.tasks, t)
+	w.taskIDs[name] = id
 	return t, nil
 }
 
 // Finalize validates the graph, derives task-to-task edges, computes a
-// topological order and per-task levels, and freezes the workflow.
+// topological order and per-task levels, builds the name-sorted file
+// views, and freezes the workflow.  The views are built here, not on
+// first use, because a finalized workflow is shared across goroutines.
 func (w *Workflow) Finalize() error {
 	if w.finalized {
 		return nil
@@ -172,27 +195,30 @@ func (w *Workflow) Finalize() error {
 	if len(w.tasks) == 0 {
 		return errors.New("dag: workflow has no tasks")
 	}
-	// Derive parent/child edges from file producer/consumer relations.
+	// Derive parent/child edges from file producer/consumer relations,
+	// walking each file's consumers rather than looking every task input
+	// up by name.
+	sorted := sortedFiles(w.files)
 	for _, t := range w.tasks {
-		parentSet := make(map[TaskID]bool)
-		for _, in := range t.Inputs {
-			if p := w.files[in].Producer; p != NoTask && p != t.ID {
-				parentSet[p] = true
-			}
-		}
 		t.parents = t.parents[:0]
-		for p := range parentSet {
-			t.parents = append(t.parents, p)
-		}
-		sort.Slice(t.parents, func(i, j int) bool { return t.parents[i] < t.parents[j] })
 	}
+	for _, f := range sorted {
+		if f.Producer == NoTask {
+			continue
+		}
+		for _, c := range f.consumers {
+			w.tasks[c].parents = append(w.tasks[c].parents, f.Producer)
+		}
+	}
+	for _, t := range w.tasks {
+		slices.Sort(t.parents)
+		t.parents = slices.Compact(t.parents)
+	}
+	// Visiting children in ID order leaves every children list sorted.
 	for _, t := range w.tasks {
 		for _, p := range t.parents {
 			w.tasks[p].children = append(w.tasks[p].children, t.ID)
 		}
-	}
-	for _, t := range w.tasks {
-		sort.Slice(t.children, func(i, j int) bool { return t.children[i] < t.children[j] })
 	}
 
 	// Kahn's algorithm for a deterministic topological order (smallest ID
@@ -238,21 +264,47 @@ func (w *Workflow) Finalize() error {
 	}
 
 	// Every non-external file must be consumed or be a declared output;
-	// dangling files are almost always a generator bug.  Collect and
-	// sort before reporting so the error names the same file on every
-	// run regardless of map iteration order.
-	var dangling []string
-	for _, f := range w.files {
+	// dangling files are almost always a generator bug.  Walking the
+	// name-sorted files makes the error name the same file on every run
+	// regardless of map iteration order.
+	for _, f := range sorted {
 		if !f.External() && len(f.consumers) == 0 && !f.Output {
-			dangling = append(dangling, f.Name)
+			return fmt.Errorf("dag: file %q is produced but never consumed nor staged out", f.Name)
 		}
 	}
-	sort.Strings(dangling)
-	if len(dangling) > 0 {
-		return fmt.Errorf("dag: file %q is produced but never consumed nor staged out", dangling[0])
-	}
+	w.setViews(sorted)
+	w.taskIDs = nil
 	w.finalized = true
 	return nil
+}
+
+// setViews installs sorted as the workflow's name-sorted file view and
+// derives the external-input and output views from it.
+func (w *Workflow) setViews(sorted []*File) {
+	w.sorted = sorted
+	w.external = filterFiles(sorted, (*File).External)
+	w.outputs = filterFiles(sorted, func(f *File) bool { return f.Output })
+}
+
+// sortedFiles returns the files of m sorted by name.
+func sortedFiles(m map[string]*File) []*File {
+	out := make([]*File, 0, len(m))
+	for _, f := range m {
+		out = append(out, f)
+	}
+	slices.SortFunc(out, func(a, b *File) int { return strings.Compare(a.Name, b.Name) })
+	return out
+}
+
+// filterFiles returns the files that satisfy keep, in their given order.
+func filterFiles(files []*File, keep func(*File) bool) []*File {
+	var out []*File
+	for _, f := range files {
+		if keep(f) {
+			out = append(out, f)
+		}
+	}
+	return out
 }
 
 // Finalized reports whether Finalize has completed successfully.
@@ -273,14 +325,14 @@ func (w *Workflow) Tasks() []*Task { return w.tasks }
 // File returns the named file, or nil if it does not exist.
 func (w *Workflow) File(name string) *File { return w.files[name] }
 
-// Files returns all files sorted by name.
+// Files returns all files sorted by name.  After Finalize the slice is
+// the one Finalize built: it is owned by the workflow, shared by every
+// caller, and must not be modified.
 func (w *Workflow) Files() []*File {
-	out := make([]*File, 0, len(w.files))
-	for _, f := range w.files {
-		out = append(out, f)
+	if w.finalized {
+		return w.sorted
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return sortedFiles(w.files)
 }
 
 // TopoOrder returns a deterministic topological order of task IDs.
@@ -302,26 +354,23 @@ func (w *Workflow) TasksAtLevel(level int) []*Task {
 }
 
 // ExternalInputs returns the files that must be staged in from the user,
-// sorted by name.
+// sorted by name.  Like Files, the slice is owned by the workflow and
+// must not be modified.
 func (w *Workflow) ExternalInputs() []*File {
-	var out []*File
-	for _, f := range w.Files() {
-		if f.External() {
-			out = append(out, f)
-		}
+	if w.finalized {
+		return w.external
 	}
-	return out
+	return filterFiles(w.Files(), (*File).External)
 }
 
 // OutputFiles returns the files staged back to the user, sorted by name.
+// Like Files, the slice is owned by the workflow and must not be
+// modified.
 func (w *Workflow) OutputFiles() []*File {
-	var out []*File
-	for _, f := range w.Files() {
-		if f.Output {
-			out = append(out, f)
-		}
+	if w.finalized {
+		return w.outputs
 	}
-	return out
+	return filterFiles(w.Files(), func(f *File) bool { return f.Output })
 }
 
 // TotalRuntime returns the sum of all task runtimes: the total CPU time
@@ -439,7 +488,8 @@ func (w *Workflow) ScaleFileSizes(factor float64) error {
 }
 
 // Clone returns a deep copy of the workflow.  The copy preserves
-// finalization state, orders and levels.
+// finalization state, orders and levels; its file views and task-name
+// index refer to its own copies.
 func (w *Workflow) Clone() *Workflow {
 	c := New(w.Name)
 	for name, f := range w.files {
@@ -459,6 +509,16 @@ func (w *Workflow) Clone() *Workflow {
 	c.finalized = w.finalized
 	c.order = append([]TaskID(nil), w.order...)
 	c.maxLevel = w.maxLevel
+	if w.finalized {
+		c.taskIDs = nil
+		sorted := make([]*File, len(w.sorted))
+		for i, f := range w.sorted {
+			sorted[i] = c.files[f.Name]
+		}
+		c.setViews(sorted)
+	} else {
+		maps.Copy(c.taskIDs, w.taskIDs)
+	}
 	return c
 }
 

@@ -1,6 +1,8 @@
 package dag
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -324,5 +326,148 @@ func TestTasksAtLevel(t *testing.T) {
 	}
 	if len(w.TasksAtLevel(99)) != 0 {
 		t.Error("nonexistent level should be empty")
+	}
+}
+
+// A rejected AddTask must leave no trace: the unknown second output used
+// to be found only after the first input had gained a consumer and the
+// first output a producer, so a later valid producer of "b" was refused.
+func TestAddTaskAtomicOnError(t *testing.T) {
+	w := New("atomic")
+	for _, name := range []string{"a", "b"} {
+		if _, err := w.AddFile(name, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.AddTask("bad", "r", 1, []string{"a"}, []string{"b", "missing"}); err == nil {
+		t.Fatal("task writing an unknown file accepted")
+	}
+	if w.NumTasks() != 0 {
+		t.Fatalf("rejected task left %d tasks", w.NumTasks())
+	}
+	if got := w.File("a").Consumers(); len(got) != 0 {
+		t.Errorf("rejected task left a.consumers = %v", got)
+	}
+	if got := w.File("b").Producer; got != NoTask {
+		t.Errorf("rejected task left b.Producer = %d", got)
+	}
+	if _, err := w.AddTask("bad", "r", 1, []string{"a"}, []string{"b"}); err != nil {
+		t.Fatalf("valid task after a rejected one: %v", err)
+	}
+	w.File("b").Output = true
+	if err := w.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkViews asserts Files, ExternalInputs and OutputFiles of a
+// finalized workflow equal a fresh sort of its file map and the filters
+// of that sort.
+func checkViews(w *Workflow) error {
+	want := sortedFiles(w.files)
+	if got := w.Files(); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("Files = %v, want %v", names(got), names(want))
+	}
+	var ext, out []*File
+	for _, f := range want {
+		if f.External() {
+			ext = append(ext, f)
+		}
+		if f.Output {
+			out = append(out, f)
+		}
+	}
+	if got := w.ExternalInputs(); !reflect.DeepEqual(got, ext) {
+		return fmt.Errorf("ExternalInputs = %v, want %v", names(got), names(ext))
+	}
+	if got := w.OutputFiles(); !reflect.DeepEqual(got, out) {
+		return fmt.Errorf("OutputFiles = %v, want %v", names(got), names(out))
+	}
+	return nil
+}
+
+// checkCloneViews asserts a clone's views hold the clone's own File
+// objects: scaling the clone leaves every size the original reports
+// unchanged.
+func checkCloneViews(w *Workflow) error {
+	c := w.Clone()
+	if err := checkViews(c); err != nil {
+		return fmt.Errorf("clone: %w", err)
+	}
+	for i, f := range c.Files() {
+		if f != c.File(f.Name) || f == w.Files()[i] {
+			return fmt.Errorf("clone view file %q is not the clone's own copy", f.Name)
+		}
+	}
+	before := make([]int64, w.NumFiles())
+	for i, f := range w.Files() {
+		before[i] = int64(f.Size)
+	}
+	if err := c.ScaleFileSizes(3); err != nil {
+		return err
+	}
+	for i, f := range w.Files() {
+		if int64(f.Size) != before[i] {
+			return fmt.Errorf("scaling the clone changed the original's %q", f.Name)
+		}
+	}
+	return nil
+}
+
+func TestFinalizedViews(t *testing.T) {
+	w := buildPaperExample(t)
+	if err := checkViews(w); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkCloneViews(w); err != nil {
+		t.Fatal(err)
+	}
+	if w.taskIDs != nil {
+		t.Error("Finalize kept the task-name index")
+	}
+}
+
+// A clone of an unfinalized workflow keeps rejecting duplicate task
+// names, and adding to it leaves the original alone.
+func TestCloneUnfinalizedKeepsNameIndex(t *testing.T) {
+	w := New("partial")
+	for _, name := range []string{"a", "b", "c"} {
+		if _, err := w.AddFile(name, 1, name == "c"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.AddTask("t0", "r", 1, []string{"a"}, []string{"b"}); err != nil {
+		t.Fatal(err)
+	}
+	c := w.Clone()
+	if _, err := c.AddTask("t0", "r", 1, []string{"b"}, []string{"c"}); err == nil {
+		t.Fatal("clone accepted a duplicate task name")
+	}
+	if _, err := c.AddTask("t1", "r", 1, []string{"b"}, []string{"c"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.AddTask("t1", "r", 1, []string{"b"}, []string{"c"}); err != nil {
+		t.Fatalf("original saw the clone's task: %v", err)
+	}
+	for _, wf := range []*Workflow{w, c} {
+		if err := wf.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		if err := checkViews(wf); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+func TestBuildLayered(t *testing.T) {
+	w, err := buildLayered(1000, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.NumTasks() != 1000 || w.MaxLevel() != 10 || w.MaxParallelism() != 100 {
+		t.Errorf("tasks %d, levels %d, width %d; want 1000, 10, 100", w.NumTasks(), w.MaxLevel(), w.MaxParallelism())
+	}
+	if err := checkViews(w); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -200,6 +200,18 @@ func TestPropRescaleCCRHitsTarget(t *testing.T) {
 	}
 }
 
+// Property: the finalized file views equal a fresh sort of the file map
+// and its filters, and a clone's views hold the clone's own files.
+func TestPropFileViews(t *testing.T) {
+	f := func(seed int64) bool {
+		w := randomLayered(seed)
+		return checkViews(w) == nil && checkCloneViews(w) == nil
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: MaxParallelism is at most the task count and at least 1.
 func TestPropMaxParallelismBounds(t *testing.T) {
 	f := func(seed int64) bool {

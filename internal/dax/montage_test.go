@@ -2,6 +2,7 @@ package dax
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"repro/internal/montage"
@@ -77,5 +78,40 @@ func TestWriteStableAcrossGenerations(t *testing.T) {
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
 		t.Error("identical specs produced different DAX documents")
+	}
+}
+
+// TestWriteConcurrentOnCachedWorkflow writes one memoized workflow from
+// several goroutines at once.  A memoized workflow is shared, so Write
+// must only read it; run under -race this catches any write to the
+// workflow's file views.
+func TestWriteConcurrentOnCachedWorkflow(t *testing.T) {
+	w, err := montage.Cached(montage.OneDegree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := Write(&want, w); err != nil {
+		t.Fatal(err)
+	}
+	const writers = 4
+	out := make([]bytes.Buffer, writers)
+	errs := make([]error, writers)
+	var wg sync.WaitGroup
+	for i := range out {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = Write(&out[i], w)
+		}(i)
+	}
+	wg.Wait()
+	for i := range out {
+		if errs[i] != nil {
+			t.Fatalf("writer %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(out[i].Bytes(), want.Bytes()) {
+			t.Errorf("writer %d produced a different document", i)
+		}
 	}
 }

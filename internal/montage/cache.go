@@ -2,6 +2,8 @@ package montage
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/dag"
@@ -56,7 +58,36 @@ func NewCache(limit int) *Cache { return &Cache{Limit: limit} }
 // Generate returns the memoized workflow for s, generating it on first
 // use.  Concurrent callers with the same spec share one generation.
 func (c *Cache) Generate(s Spec) (*dag.Workflow, error) {
+	return c.GenerateContext(context.Background(), s)
+}
+
+// GenerateContext is Generate whose generation gives up once ctx is
+// done.  A generation ended by cancellation is never memoized: its
+// entry is evicted so the next caller regenerates, and a caller sharing
+// it whose own ctx is still live retries rather than inherit another
+// caller's cancellation.
+func (c *Cache) GenerateContext(ctx context.Context, s Spec) (*dag.Workflow, error) {
+	for {
+		e := c.entry(s)
+		// An entry evicted while its generation is still running stays
+		// valid for the callers already holding it; it is merely no
+		// longer shared with future lookups.
+		e.once.Do(func() { e.wf, e.err = GenerateContext(ctx, s) })
+		if !errors.Is(e.err, context.Canceled) && !errors.Is(e.err, context.DeadlineExceeded) {
+			return e.wf, e.err
+		}
+		c.forget(s, e)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+}
+
+// entry returns the memo entry for s, creating it (and evicting down to
+// Limit) on a miss.
+func (c *Cache) entry(s Spec) *cacheEntry {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.entries == nil {
 		c.entries = make(map[Spec]*cacheEntry)
 		c.order = list.New()
@@ -77,12 +108,17 @@ func (c *Cache) Generate(s Spec) (*dag.Workflow, error) {
 			c.evicted++
 		}
 	}
-	c.mu.Unlock()
-	// An entry evicted while its generation is still running stays valid
-	// for the callers already holding it; it is merely no longer shared
-	// with future lookups.
-	e.once.Do(func() { e.wf, e.err = Generate(s) })
-	return e.wf, e.err
+	return e
+}
+
+// forget drops e from the memo if it is still the entry for s.
+func (c *Cache) forget(s Spec, e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.entries[s] == e {
+		c.order.Remove(e.elem)
+		delete(c.entries, s)
+	}
 }
 
 // Len reports how many specs are currently memoized.

@@ -1,8 +1,11 @@
 package montage
 
 import (
+	"context"
+	"errors"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestCacheReturnsSameWorkflow(t *testing.T) {
@@ -143,5 +146,105 @@ func TestCacheInvalidSpec(t *testing.T) {
 	// The error is memoized too: same spec, same answer.
 	if _, err := c.Generate(bad); err == nil {
 		t.Fatal("invalid spec accepted on second lookup")
+	}
+}
+
+// cancelAfter is a context whose Err reports context.Canceled from its
+// n-th call on, so a test can cancel a generation part way through
+// without depending on timing.  A non-nil wait runs before the first
+// cancellation is reported.
+type cancelAfter struct {
+	context.Context
+	n    int
+	wait func()
+
+	mu    sync.Mutex
+	calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.calls++
+	if c.calls < c.n {
+		return nil
+	}
+	if c.calls == c.n && c.wait != nil {
+		c.wait()
+	}
+	return context.Canceled
+}
+
+func TestGenerateContextCanceled(t *testing.T) {
+	spec := FromDegrees(20, 20)
+	ctx := &cancelAfter{Context: context.Background(), n: 3}
+	if _, err := GenerateContext(ctx, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	// Checks come every ctxCheckEvery tasks, so the generation stopped
+	// after its third, long before the 73k-task mosaic was built.
+	if ctx.calls != 3 {
+		t.Errorf("ctx checked %d times, want 3", ctx.calls)
+	}
+}
+
+// A canceled generation is not memoized: the next caller with a live
+// context regenerates and gets the workflow.
+func TestCacheDoesNotMemoizeCancellation(t *testing.T) {
+	c := NewCache(4)
+	spec := FromDegrees(20, 20)
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	if _, err := c.GenerateContext(canceled, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("canceled generation took %v", d)
+	}
+	if n := c.Len(); n != 0 {
+		t.Fatalf("canceled generation memoized: %d entries", n)
+	}
+	wf, err := c.GenerateContext(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("live call after a canceled one: %v", err)
+	}
+	if wf.NumTasks() != spec.TaskCount() {
+		t.Errorf("got %d tasks, want %d", wf.NumTasks(), spec.TaskCount())
+	}
+	if again, _ := c.Generate(spec); again != wf || c.Len() != 1 {
+		t.Error("successful generation not memoized")
+	}
+}
+
+// A caller whose context is live never inherits a cancellation from a
+// concurrent caller sharing its generation: it regenerates instead.
+func TestCacheLiveCallerSurvivesSharedCancellation(t *testing.T) {
+	c := NewCache(4)
+	spec := FourDegree()
+	// The doomed generation is canceled only once the live caller has
+	// found its entry and is waiting on it.
+	doomed := &cancelAfter{Context: context.Background(), n: 2, wait: func() {
+		for c.Stats().Hits == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.GenerateContext(doomed, spec)
+		done <- err
+	}()
+	for c.Stats().Misses == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	wf, err := c.GenerateContext(context.Background(), spec)
+	if err != nil {
+		t.Fatalf("live caller: %v", err)
+	}
+	if wf.NumTasks() != spec.TaskCount() {
+		t.Errorf("got %d tasks, want %d", wf.NumTasks(), spec.TaskCount())
+	}
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("doomed caller: err = %v, want context.Canceled", err)
 	}
 }

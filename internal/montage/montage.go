@@ -21,6 +21,7 @@
 package montage
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -160,17 +161,34 @@ var (
 	shrinkRatio = 0.10                                              // mShrink output vs mosaic
 )
 
-// Generate builds, calibrates and finalizes the workflow described by s.
+// Generate builds, finalizes and calibrates the workflow described by s.
 func Generate(s Spec) (*dag.Workflow, error) {
+	return GenerateContext(context.Background(), s)
+}
+
+// ctxCheckEvery is how many tasks the builder adds between checks of
+// its context: often enough that a canceled 20-degree mosaic stops
+// within milliseconds, rarely enough to cost nothing measurable.
+const ctxCheckEvery = 1024
+
+// GenerateContext is Generate that gives up with ctx's error once ctx
+// is done, checking it every ctxCheckEvery tasks.
+func GenerateContext(ctx context.Context, s Spec) (*dag.Workflow, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	sampler := trace.NewSampler(s.Seed)
 	w := dag.New(s.Name)
 
-	b := &builder{w: w, s: s, sampler: sampler}
+	b := &builder{ctx: ctx, w: w, s: s, sampler: sampler}
 	if err := b.build(); err != nil {
 		return nil, err
+	}
+	// Finalize fixes the graph and sorts the files once; the calibration
+	// passes then rescale runtimes and sizes in place, on a workflow no
+	// one else holds yet, walking the file view Finalize built.
+	if err := w.Finalize(); err != nil {
+		return nil, fmt.Errorf("montage: %w", err)
 	}
 	if err := b.calibrateRuntimes(); err != nil {
 		return nil, err
@@ -180,21 +198,18 @@ func Generate(s Spec) (*dag.Workflow, error) {
 			return nil, err
 		}
 	}
-	if err := w.Finalize(); err != nil {
-		return nil, fmt.Errorf("montage: %w", err)
-	}
 	return w, nil
 }
 
 // builder accumulates the workflow plus the bookkeeping needed for the
-// two calibration passes (which must run before Finalize freezes it).
+// two calibration passes.
 type builder struct {
+	ctx     context.Context
 	w       *dag.Workflow
 	s       Spec
 	sampler *trace.Sampler
 
-	taskRuntimes []float64 // parallel to task IDs
-	taskNames    []string
+	taskRuntimes []float64       // parallel to task IDs
 	fixedFiles   map[string]bool // external inputs + staged-out outputs
 }
 
@@ -213,6 +228,11 @@ func (b *builder) addFixedFile(name string, size units.Bytes, output bool) error
 }
 
 func (b *builder) addTask(name, typ string, inputs, outputs []string) error {
+	if len(b.taskRuntimes)%ctxCheckEvery == 0 {
+		if err := b.ctx.Err(); err != nil {
+			return err
+		}
+	}
 	rt := b.sampler.Sample(rtProfiles[typ])
 	// Runtime 0 placeholder; calibrateRuntimes sets the real values via a
 	// rebuild-free path: we record samples and write them scaled.
@@ -220,7 +240,6 @@ func (b *builder) addTask(name, typ string, inputs, outputs []string) error {
 		return err
 	}
 	b.taskRuntimes = append(b.taskRuntimes, rt)
-	b.taskNames = append(b.taskNames, name)
 	return nil
 }
 
@@ -229,45 +248,43 @@ func (b *builder) build() error {
 	if b.fixedFiles == nil {
 		b.fixedFiles = make(map[string]bool)
 	}
+	// Every per-image and per-pair file name is formatted once and shared
+	// by all the tasks that read or write it.
+	inNames := formatNames("2mass-%04d.fits", s.Images)
+	projNames := formatNames("proj-%04d.fits", s.Images)
+	bgNames := formatNames("bg-%04d.fits", s.Images)
 	// Shared template header, used by every mProject and mDiffFit.
 	if err := b.addFile("region.hdr", szTemplate, false); err != nil {
 		return err
 	}
 	// External input images and their reprojections.
 	for i := 0; i < s.Images; i++ {
-		in := fmt.Sprintf("2mass-%04d.fits", i)
-		if err := b.addFile(in, szInput, false); err != nil {
+		if err := b.addFile(inNames[i], szInput, false); err != nil {
 			return err
 		}
-		b.fixedFiles[in] = true // inputs keep their nominal size
-		if err := b.addFile(fmt.Sprintf("proj-%04d.fits", i), szProjected, false); err != nil {
+		b.fixedFiles[inNames[i]] = true // inputs keep their nominal size
+		if err := b.addFile(projNames[i], szProjected, false); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < s.Images; i++ {
 		if err := b.addTask(
 			fmt.Sprintf("mProject-%04d", i), "mProject",
-			[]string{fmt.Sprintf("2mass-%04d.fits", i), "region.hdr"},
-			[]string{fmt.Sprintf("proj-%04d.fits", i)},
+			[]string{inNames[i], "region.hdr"}, projNames[i:i+1],
 		); err != nil {
 			return err
 		}
 	}
 	// Overlap pairs and mDiffFit tasks.
 	pairs := overlapPairs(s.Images, s.Diffs)
+	fitNames := formatNames("fit-%05d.txt", len(pairs))
 	for d, p := range pairs {
-		fit := fmt.Sprintf("fit-%05d.txt", d)
-		if err := b.addFile(fit, szFit, false); err != nil {
+		if err := b.addFile(fitNames[d], szFit, false); err != nil {
 			return err
 		}
 		if err := b.addTask(
 			fmt.Sprintf("mDiffFit-%05d", d), "mDiffFit",
-			[]string{
-				fmt.Sprintf("proj-%04d.fits", p[0]),
-				fmt.Sprintf("proj-%04d.fits", p[1]),
-				"region.hdr",
-			},
-			[]string{fit},
+			[]string{projNames[p[0]], projNames[p[1]], "region.hdr"}, fitNames[d:d+1],
 		); err != nil {
 			return err
 		}
@@ -275,10 +292,6 @@ func (b *builder) build() error {
 	// Serial spine: mConcatFit -> mBgModel.
 	if err := b.addFile("fits.tbl", szSmallTbl, false); err != nil {
 		return err
-	}
-	fitNames := make([]string, len(pairs))
-	for d := range pairs {
-		fitNames[d] = fmt.Sprintf("fit-%05d.txt", d)
 	}
 	if err := b.addTask("mConcatFit", "mConcatFit", fitNames, []string{"fits.tbl"}); err != nil {
 		return err
@@ -291,24 +304,19 @@ func (b *builder) build() error {
 	}
 	// Background rectification fan.
 	for i := 0; i < s.Images; i++ {
-		if err := b.addFile(fmt.Sprintf("bg-%04d.fits", i), szProjected, false); err != nil {
+		if err := b.addFile(bgNames[i], szProjected, false); err != nil {
 			return err
 		}
 	}
 	for i := 0; i < s.Images; i++ {
 		if err := b.addTask(
 			fmt.Sprintf("mBackground-%04d", i), "mBackground",
-			[]string{fmt.Sprintf("proj-%04d.fits", i), "corrections.tbl"},
-			[]string{fmt.Sprintf("bg-%04d.fits", i)},
+			[]string{projNames[i], "corrections.tbl"}, bgNames[i:i+1],
 		); err != nil {
 			return err
 		}
 	}
 	// Final serial spine: mAdd -> mShrink -> mJPEG.
-	bgNames := make([]string, s.Images)
-	for i := range bgNames {
-		bgNames[i] = fmt.Sprintf("bg-%04d.fits", i)
-	}
 	if err := b.addFixedFile("mosaic.fits", s.MosaicBytes, true); err != nil {
 		return err
 	}
@@ -326,6 +334,15 @@ func (b *builder) build() error {
 		return err
 	}
 	return b.addTask("mJPEG", "mJPEG", []string{"mosaic-small.fits"}, []string{"mosaic.jpg"})
+}
+
+// formatNames returns format applied to each index 0..n-1.
+func formatNames(format string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf(format, i)
+	}
+	return out
 }
 
 // calibrateRuntimes rescales every sampled runtime so their sum equals
@@ -349,8 +366,11 @@ func (b *builder) calibrateRuntimes() error {
 func (b *builder) calibrateCCR() error {
 	s := b.s
 	targetTotal := s.TargetCCR * s.Bandwidth.BytesPerSecond() * s.TotalCPU.Seconds()
+	// One name-sorted file view serves both passes.  The sums must run in
+	// name order: float addition order decides the calibrated sizes' bytes.
+	files := b.w.Files()
 	var fixed, scalable float64
-	for _, f := range b.w.Files() {
+	for _, f := range files {
 		if b.fixedFiles[f.Name] {
 			fixed += float64(f.Size)
 		} else {
@@ -366,7 +386,7 @@ func (b *builder) calibrateCCR() error {
 	if err != nil {
 		return fmt.Errorf("montage: CCR calibration: %w", err)
 	}
-	for _, f := range b.w.Files() {
+	for _, f := range files {
 		if !b.fixedFiles[f.Name] {
 			f.Size = units.BytesOf(float64(f.Size) * factor)
 		}

@@ -87,7 +87,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveCachedRun(w, r, repro.CanonicalRunKey(spec, plan), nil, func(ctx context.Context) ([]byte, error) {
-		wf, err := s.wfCache.Generate(spec)
+		wf, err := s.wfCache.GenerateContext(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -289,9 +289,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	wf, err := s.wfCache.Generate(spec)
+	wf, err := s.wfCache.GenerateContext(r.Context(), spec)
 	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
+		s.fail(w, r, statusFor(err), err)
 		return
 	}
 	// Rescale once per distinct CCR, not once per grid point: the scaled
@@ -524,9 +524,9 @@ func (s *Server) explore(w http.ResponseWriter, r *http.Request) (advisorQuery, 
 		return advisorQuery{}, nil, false
 	}
 	defer release()
-	wf, err := s.wfCache.Generate(aq.spec)
+	wf, err := s.wfCache.GenerateContext(r.Context(), aq.spec)
 	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
+		s.fail(w, r, statusFor(err), err)
 		return advisorQuery{}, nil, false
 	}
 	opts, err := advisor.Explore(r.Context(), wf, aq.procs, aq.plan)

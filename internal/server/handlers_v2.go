@@ -57,7 +57,7 @@ func (s *Server) handleRunV2(w http.ResponseWriter, r *http.Request) {
 		route.scenario = raw
 	}
 	s.serveCachedRun(w, r, wire.CanonicalRunKeyV2(spec, plan), route, func(ctx context.Context) ([]byte, error) {
-		wf, err := s.wfCache.Generate(spec)
+		wf, err := s.wfCache.GenerateContext(ctx, spec)
 		if err != nil {
 			return nil, err
 		}
@@ -78,7 +78,7 @@ func (s *Server) runTraced(r *http.Request, spec repro.Spec, plan repro.Plan) (r
 		return repro.Result{}, nil, err
 	}
 	defer release()
-	wf, err := s.wfCache.Generate(spec)
+	wf, err := s.wfCache.GenerateContext(r.Context(), spec)
 	if err != nil {
 		return repro.Result{}, nil, err
 	}
@@ -259,7 +259,7 @@ func (s *Server) sweepPoint(ctx context.Context, p wire.ResolvedPoint) (wire.Run
 			}
 		}
 	}
-	wf, err := s.wfCache.Generate(p.Spec)
+	wf, err := s.wfCache.GenerateContext(ctx, p.Spec)
 	if err != nil {
 		return wire.RunDocumentV2{}, err
 	}

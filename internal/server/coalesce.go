@@ -23,16 +23,23 @@ type flight struct {
 	waiters int
 	cancel  context.CancelFunc
 	done    chan struct{}
-	body    []byte
+	answer  answer
 	err     error
 }
 
-// Do returns fn's result for key, executing fn at most once across all
+// answer is what a flight lands: a canonical result body and the cache
+// tier that produced it, so every waiter names the same tier.
+type answer struct {
+	body []byte
+	tier string
+}
+
+// Do returns fn's answer for key, executing fn at most once across all
 // concurrent callers with the same key.  shared reports whether this
 // call joined a flight another caller started.  If ctx is done before
 // the flight lands, Do returns ctx's error (and aborts the flight if
 // this was its last waiter).
-func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Context) ([]byte, error)) (body []byte, shared bool, err error) {
+func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Context) (answer, error)) (a answer, shared bool, err error) {
 	g.mu.Lock()
 	if g.flights == nil {
 		g.flights = make(map[string]*flight)
@@ -44,9 +51,9 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 		g.flights[key] = f
 		//repro:detached a flight outlives canceled callers by design; every waiter joins via f.done, and the flight itself is the only writer
 		go func() {
-			body, err := fn(fctx)
+			a, err := fn(fctx)
 			g.mu.Lock()
-			f.body, f.err = body, err
+			f.answer, f.err = a, err
 			// A finished flight leaves the map so the next request starts
 			// fresh (results live in the response cache, not here).  The
 			// guard matters: if every waiter left and a new flight took
@@ -64,7 +71,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 
 	select {
 	case <-f.done:
-		return f.body, joined, f.err
+		return f.answer, joined, f.err
 	case <-ctx.Done():
 		g.mu.Lock()
 		f.waiters--
@@ -75,6 +82,6 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(ctx context.Co
 			}
 		}
 		g.mu.Unlock()
-		return nil, joined, ctx.Err()
+		return answer{}, joined, ctx.Err()
 	}
 }

@@ -16,7 +16,7 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 	release := make(chan struct{})
 	const waiters = 8
 
-	results := make([][]byte, waiters)
+	results := make([]answer, waiters)
 	errs := make([]error, waiters)
 	shared := make([]bool, waiters)
 	var wg sync.WaitGroup
@@ -24,11 +24,11 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 	for i := 0; i < waiters; i++ {
 		go func(i int) {
 			defer wg.Done()
-			results[i], shared[i], errs[i] = g.Do(context.Background(), "key", func(ctx context.Context) ([]byte, error) {
+			results[i], shared[i], errs[i] = g.Do(context.Background(), "key", func(ctx context.Context) (answer, error) {
 				close(started)
 				calls.Add(1)
 				<-release
-				return []byte("answer"), nil
+				return answer{[]byte("answer"), "miss"}, nil
 			})
 		}(i)
 	}
@@ -60,8 +60,9 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 		if errs[i] != nil {
 			t.Errorf("waiter %d: %v", i, errs[i])
 		}
-		if string(results[i]) != "answer" {
-			t.Errorf("waiter %d got %q", i, results[i])
+		// Every waiter, followers included, reads the leader's tier.
+		if string(results[i].body) != "answer" || results[i].tier != "miss" {
+			t.Errorf("waiter %d got %q from %q", i, results[i].body, results[i].tier)
 		}
 		if shared[i] {
 			sharedCount++
@@ -75,18 +76,18 @@ func TestFlightGroupExecutesOnce(t *testing.T) {
 func TestFlightGroupErrorNotMemoized(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("boom")
-	if _, _, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
-		return nil, boom
+	if _, _, err := g.Do(context.Background(), "k", func(context.Context) (answer, error) {
+		return answer{}, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	// A finished (even failed) flight leaves the group: the next call
 	// runs fn again.
-	body, shared, err := g.Do(context.Background(), "k", func(context.Context) ([]byte, error) {
-		return []byte("ok"), nil
+	a, shared, err := g.Do(context.Background(), "k", func(context.Context) (answer, error) {
+		return answer{[]byte("ok"), "miss"}, nil
 	})
-	if err != nil || shared || string(body) != "ok" {
-		t.Errorf("second call = %q, shared=%v, err=%v", body, shared, err)
+	if err != nil || shared || string(a.body) != "ok" {
+		t.Errorf("second call = %q, shared=%v, err=%v", a.body, shared, err)
 	}
 }
 
@@ -97,11 +98,11 @@ func TestFlightGroupLastWaiterCancelsFlight(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := g.Do(ctx, "k", func(fctx context.Context) ([]byte, error) {
+		_, _, err := g.Do(ctx, "k", func(fctx context.Context) (answer, error) {
 			close(entered)
 			<-fctx.Done()
 			close(fnCtxDone)
-			return nil, fctx.Err()
+			return answer{}, fctx.Err()
 		})
 		done <- err
 	}()
@@ -121,13 +122,13 @@ func TestFlightGroupSurvivorKeepsFlightAlive(t *testing.T) {
 	var g flightGroup
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	fn := func(fctx context.Context) ([]byte, error) {
+	fn := func(fctx context.Context) (answer, error) {
 		close(entered)
 		select {
 		case <-release:
-			return []byte("landed"), nil
+			return answer{[]byte("landed"), "store"}, nil
 		case <-fctx.Done():
-			return nil, fctx.Err()
+			return answer{}, fctx.Err()
 		}
 	}
 	impatient, cancelImpatient := context.WithCancel(context.Background())
@@ -138,10 +139,10 @@ func TestFlightGroupSurvivorKeepsFlightAlive(t *testing.T) {
 	}()
 	<-entered
 	second := make(chan error, 1)
-	var secondBody []byte
+	var secondAnswer answer
 	go func() {
-		body, _, err := g.Do(context.Background(), "k", fn)
-		secondBody = body
+		a, _, err := g.Do(context.Background(), "k", fn)
+		secondAnswer = a
 		second <- err
 	}()
 	// Wait for the second caller to join, then cancel the first.
@@ -168,7 +169,7 @@ func TestFlightGroupSurvivorKeepsFlightAlive(t *testing.T) {
 	if err := <-second; err != nil {
 		t.Fatalf("second err = %v: one client hanging up aborted another's flight", err)
 	}
-	if string(secondBody) != "landed" {
-		t.Errorf("second body = %q", secondBody)
+	if string(secondAnswer.body) != "landed" || secondAnswer.tier != "store" {
+		t.Errorf("second answer = %q from %q", secondAnswer.body, secondAnswer.tier)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -86,105 +87,167 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	s.serveCachedRun(w, r, repro.CanonicalRunKey(spec, plan), nil, func(ctx context.Context) ([]byte, error) {
-		wf, err := s.wfCache.GenerateContext(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := repro.RunContext(ctx, wf, plan)
+	body, tier, err := s.resolve(r.Context(), repro.CanonicalRunKey(spec, plan), nil, func(ctx context.Context) ([]byte, error) {
+		res, err := s.simulate(ctx, spec, plan)
 		if err != nil {
 			return nil, err
 		}
 		return repro.NewRunDocument(res).Encode()
 	})
+	s.serveResult(w, r, body, tier, err)
 }
 
-// tierRoute is what the v2 tier chain needs beyond the cache key: the
-// marshaled scenario document (to relay the request to its owning peer)
-// and whether this request was itself relayed by a peer, in which case
-// it must be answered locally -- a relayed request that forwarded again
-// could loop on a misconfigured ring.  A nil route keeps the legacy
-// /v1 behavior: memory LRU plus compute, no disk, no peers.
-type tierRoute struct {
-	scenario []byte
-	relayed  bool
-}
-
-// serveCachedRun serves one deterministic simulation through the cache
-// tiers -- memory LRU, disk store, owning peer, compute -- and the
-// coalescing flight group.  Determinism makes every tier byte-identical
-// to a cold run, so which tier answers is pure economics: memory is
-// free, a disk read is cheap, a peer hop costs a LAN round trip, and a
-// simulation costs seconds of CPU.  The X-Cache header names the tier
-// that answered (hit, store, peer, miss).  Peer failure never fails the
-// request; it degrades to local computation.  The disk read, the peer
-// relay and the simulation all run inside the flight, so a thundering
-// herd of identical requests costs one of whichever tier answers.
-func (s *Server) serveCachedRun(w http.ResponseWriter, r *http.Request, key string, route *tierRoute, simulate func(ctx context.Context) ([]byte, error)) {
-	if body, ok := s.cache.Get(key); ok {
-		s.serveResult(w, "hit", body)
-		return
+// simulate generates spec's workflow through the bounded memo and runs
+// plan on it.
+func (s *Server) simulate(ctx context.Context, spec repro.Spec, plan repro.Plan) (repro.Result, error) {
+	wf, err := s.wfCache.GenerateContext(ctx, spec)
+	if err != nil {
+		return repro.Result{}, err
 	}
-	tier := "miss"
-	body, shared, err := s.flights.Do(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-		if route != nil && s.store != nil {
+	return repro.RunContext(ctx, wf, plan)
+}
+
+// resolve answers one deterministic simulation from the first tier that
+// holds it -- memory LRU, disk store, owning peer, compute -- and names
+// that tier: hit, store, peer or miss.  Determinism makes every tier
+// byte-identical to a cold run, so which tier answers is pure economics:
+// memory is free, a disk read is cheap, a peer hop costs a LAN round
+// trip, and a simulation costs seconds of CPU.
+//
+// Runs and sweep points all resolve here.  Everything past the memory
+// lookup runs inside the flight group, so a herd of identical requests
+// costs one of whichever tier answers, and every follower names the
+// tier that answered.  Only compute takes a worker slot; nothing holds
+// one while it waits on a flight.  sc is the scenario to relay when
+// another replica owns key; nil skips the peer tier (a /v1 request, or
+// one a peer already relayed, which must not forward again).  A store
+// or peer failure degrades to the next tier, never to an error.
+func (s *Server) resolve(ctx context.Context, key string, sc *wire.Scenario, compute func(ctx context.Context) ([]byte, error)) ([]byte, string, error) {
+	if body, ok := s.cache.Get(key); ok {
+		return body, "hit", nil
+	}
+	a, shared, err := s.flights.Do(ctx, key, func(ctx context.Context) (answer, error) {
+		if s.store != nil {
 			if body, ok := s.store.Get(key); ok {
-				tier = "store"
 				s.cache.Put(key, body)
-				return body, nil
+				return answer{body, "store"}, nil
 			}
 		}
-		if route != nil && !route.relayed && s.ring != nil {
+		if sc != nil && s.ring != nil {
 			if owner := s.ring.Owner(wire.KeyHash(key)); owner != s.self {
 				s.metrics.peerFetches.Add(1)
-				body, err := s.relay.Run(ctx, owner, route.scenario)
+				raw, err := json.Marshal(sc)
+				var body []byte
 				if err == nil {
-					tier = "peer"
-					s.cache.Put(key, body)
-					return body, nil
+					body, err = s.relay.Run(ctx, owner, raw)
 				}
-				// The owner is down or slow: degrade to computing here.
-				// The result is byte-identical either way; only the
-				// pool's cache locality suffers, which the counter makes
-				// visible.
+				if err == nil {
+					// A garbled 200 is a peer failure like any other.
+					err = wire.DecodeStrict(bytes.NewReader(body), new(wire.RunDocumentV2))
+				}
+				if err == nil {
+					s.cache.Put(key, body)
+					return answer{body, "peer"}, nil
+				}
+				// The owner is down, slow or garbled: compute here.  The
+				// result is byte-identical either way; only the pool's
+				// cache locality suffers, which the counter makes visible.
 				s.metrics.peerFailures.Add(1)
 			}
 		}
 		release, err := s.admit(ctx)
 		if err != nil {
-			return nil, err
+			return answer{}, err
 		}
 		defer release()
 		if s.testHookPreSim != nil {
 			s.testHookPreSim()
 		}
 		s.metrics.simulations.Add(1)
-		body, err := simulate(ctx)
+		body, err := compute(ctx)
 		if err != nil {
-			return nil, err
+			return answer{}, err
 		}
 		s.cache.Put(key, body)
-		if route != nil && s.store != nil {
+		if s.store != nil {
 			s.store.Put(key, body) //nolint:errcheck // a failed persist only costs a future recompute
 		}
-		return body, nil
+		return answer{body, "miss"}, nil
 	})
 	if shared {
 		s.metrics.coalesced.Add(1)
 	}
+	return a.body, a.tier, err
+}
+
+// serveResult writes one canonical result body, naming the tier that
+// answered in X-Cache, or the error that stopped it.
+func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, body []byte, tier string, err error) {
 	if err != nil {
 		s.fail(w, r, statusFor(err), err)
 		return
 	}
-	s.serveResult(w, tier, body)
-}
-
-// serveResult writes one canonical result body, naming the tier that
-// answered in X-Cache.
-func (s *Server) serveResult(w http.ResponseWriter, tier string, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Cache", tier)
 	w.Write(body) //nolint:errcheck
+}
+
+// streamNDJSON answers with an NDJSON stream under the protocol every
+// stream here shares.  produce writes each row line (one JSON document
+// and its newline) through emit, which flushes it to the client, and
+// returns the payload of the terminal done line.  The stream then ends
+// in one of three ways, so a client can always tell what it read:
+//
+//	HTTP error status      produce failed before any row
+//	{"error": "..."}       produce failed mid-stream (omitted when the
+//	                       client has gone)
+//	{"done": {...}}        success
+//
+// The terminal line is the truncation detector -- the HTTP status line
+// is long gone by the time a mid-stream row fails, so a stream that
+// ends without "done" or "error" was cut off.
+func (s *Server) streamNDJSON(w http.ResponseWriter, r *http.Request, produce func(emit func(line []byte) error) (done any, err error)) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	flusher, _ := w.(http.Flusher)
+	rows := 0
+	done, err := produce(func(line []byte) error {
+		if _, err := w.Write(line); err != nil {
+			return err
+		}
+		rows++
+		if flusher != nil {
+			flusher.Flush()
+		}
+		return nil
+	})
+	enc := json.NewEncoder(w)
+	if err != nil {
+		if rows == 0 {
+			s.fail(w, r, statusFor(err), err)
+			return
+		}
+		s.metrics.errors.Add(1)
+		if r.Context().Err() == nil {
+			enc.Encode(streamEnd{Error: err.Error()}) //nolint:errcheck
+		}
+		return
+	}
+	enc.Encode(streamEnd{Done: done}) //nolint:errcheck
+}
+
+// streamEnd is the terminal line of an NDJSON stream; exactly one field
+// is set.
+type streamEnd struct {
+	Done  any    `json:"done,omitempty"`
+	Error string `json:"error,omitempty"`
+}
+
+// rowLine renders one {"row": ...} line of an NDJSON stream.
+func rowLine(row any) ([]byte, error) {
+	b, err := json.Marshal(struct {
+		Row any `json:"row"`
+	}{row})
+	return append(b, '\n'), err
 }
 
 // ---- POST /v1/sweep ----
@@ -199,32 +262,11 @@ type SweepRequest struct {
 	CCRs       []float64 `json:"ccrs,omitempty"`
 }
 
-// sweepRow is one grid point's result within a sweep envelope.
+// sweepRow is one grid point's result within a /v1/sweep stream.
 type sweepRow struct {
 	Index int     `json:"index"`
 	CCR   float64 `json:"ccr,omitempty"`
 	repro.RunDocument
-}
-
-// sweepEnvelope is one NDJSON line of a sweep response.  Exactly one
-// field is set, so a client can always tell what it is reading:
-//
-//	{"row": {...}}          one grid point, in grid order
-//	{"done": {"rows": N}}   terminal: the grid completed
-//	{"error": "..."}        terminal: the sweep failed mid-stream
-//
-// The terminal line is the truncation detector -- the HTTP status line
-// is long gone by the time a mid-grid point fails, so a stream that
-// ends without "done" or "error" was cut off.
-type sweepEnvelope struct {
-	Row   *sweepRow  `json:"row,omitempty"`
-	Done  *sweepDone `json:"done,omitempty"`
-	Error string     `json:"error,omitempty"`
-}
-
-// sweepDone is the success sentinel: how many rows were streamed.
-type sweepDone struct {
-	Rows int `json:"rows"`
 }
 
 type gridPoint struct {
@@ -313,58 +355,39 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		scaledByCCR[ccr] = scaled
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	rows := 0
 	// Rows stream in grid order as soon as each point (and every earlier
 	// one) finishes; r.Context() cancellation -- the client hanging up --
 	// drains the whole grid.
-	err = sweep.Stream(r.Context(), 0, grid,
-		func(ctx context.Context, i int, p gridPoint) (repro.RunDocument, error) {
-			if s.testHookSweepPoint != nil {
-				if err := s.testHookSweepPoint(i); err != nil {
+	s.streamNDJSON(w, r, func(emit func([]byte) error) (any, error) {
+		err := sweep.Stream(r.Context(), 0, grid,
+			func(ctx context.Context, i int, p gridPoint) (repro.RunDocument, error) {
+				if s.testHookSweepPoint != nil {
+					if err := s.testHookSweepPoint(i); err != nil {
+						return repro.RunDocument{}, err
+					}
+				}
+				pointPlan := plan
+				pointPlan.Processors = p.procs
+				pointPlan.Mode = p.mode
+				pointWf := wf
+				if p.ccr > 0 {
+					pointWf = scaledByCCR[p.ccr]
+				}
+				res, err := repro.RunContext(ctx, pointWf, pointPlan)
+				if err != nil {
 					return repro.RunDocument{}, err
 				}
-			}
-			pointPlan := plan
-			pointPlan.Processors = p.procs
-			pointPlan.Mode = p.mode
-			pointWf := wf
-			if p.ccr > 0 {
-				pointWf = scaledByCCR[p.ccr]
-			}
-			res, err := repro.RunContext(ctx, pointWf, pointPlan)
-			if err != nil {
-				return repro.RunDocument{}, err
-			}
-			return repro.NewRunDocument(res), nil
-		},
-		func(i int, doc repro.RunDocument) error {
-			row := sweepRow{Index: i, CCR: grid[i].ccr, RunDocument: doc}
-			if err := enc.Encode(sweepEnvelope{Row: &row}); err != nil {
-				return err
-			}
-			rows++
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
-	if err != nil {
-		if rows == 0 {
-			s.fail(w, r, statusFor(err), err)
-			return
-		}
-		// Mid-stream the status line is gone; emit the terminal error
-		// envelope instead (unless the client already hung up).
-		s.metrics.errors.Add(1)
-		if r.Context().Err() == nil {
-			enc.Encode(sweepEnvelope{Error: err.Error()}) //nolint:errcheck
-		}
-		return
-	}
-	enc.Encode(sweepEnvelope{Done: &sweepDone{Rows: rows}}) //nolint:errcheck
+				return repro.NewRunDocument(res), nil
+			},
+			func(i int, doc repro.RunDocument) error {
+				line, err := rowLine(sweepRow{Index: i, CCR: grid[i].ccr, RunDocument: doc})
+				if err != nil {
+					return err
+				}
+				return emit(line)
+			})
+		return &wire.SweepDone{Rows: len(grid)}, err
+	})
 }
 
 // ---- GET /v1/experiments and /v1/experiments/{name} ----

@@ -10,7 +10,6 @@ package server
 // a POST body.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -47,26 +46,24 @@ func (s *Server) handleRunV2(w http.ResponseWriter, r *http.Request) {
 		s.serveTracedRun(w, r, spec, plan)
 		return
 	}
-	route := &tierRoute{relayed: r.Header.Get(shard.RelayHeader) != ""}
-	if s.ring != nil && !route.relayed {
-		raw, err := json.Marshal(sc)
-		if err != nil {
-			s.fail(w, r, http.StatusInternalServerError, err)
-			return
-		}
-		route.scenario = raw
+	var relay *wire.Scenario
+	if r.Header.Get(shard.RelayHeader) == "" {
+		relay = &sc
 	}
-	s.serveCachedRun(w, r, wire.CanonicalRunKeyV2(spec, plan), route, func(ctx context.Context) ([]byte, error) {
-		wf, err := s.wfCache.GenerateContext(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		res, err := repro.RunContext(ctx, wf, plan)
+	body, tier, err := s.resolve(r.Context(), wire.CanonicalRunKeyV2(spec, plan), relay, s.computeV2(spec, plan))
+	s.serveResult(w, r, body, tier, err)
+}
+
+// computeV2 returns the compute tier of one v2 run: simulate and encode
+// the canonical v2 document.
+func (s *Server) computeV2(spec repro.Spec, plan repro.Plan) func(ctx context.Context) ([]byte, error) {
+	return func(ctx context.Context) ([]byte, error) {
+		res, err := s.simulate(ctx, spec, plan)
 		if err != nil {
 			return nil, err
 		}
 		return wire.NewRunDocumentV2(spec, res).Encode()
-	})
+	}
 }
 
 // runTraced executes one flight-recorded simulation inside a worker
@@ -78,14 +75,10 @@ func (s *Server) runTraced(r *http.Request, spec repro.Spec, plan repro.Plan) (r
 		return repro.Result{}, nil, err
 	}
 	defer release()
-	wf, err := s.wfCache.GenerateContext(r.Context(), spec)
-	if err != nil {
-		return repro.Result{}, nil, err
-	}
 	rec := obs.NewRecorder(0)
 	plan.Recorder = rec
 	s.metrics.simulations.Add(1)
-	res, err := repro.RunContext(r.Context(), wf, plan)
+	res, err := s.simulate(r.Context(), spec, plan)
 	if err != nil {
 		return repro.Result{}, nil, err
 	}
@@ -96,18 +89,11 @@ func (s *Server) runTraced(r *http.Request, spec repro.Spec, plan repro.Plan) (r
 // document (timeline and critical path inline).
 func (s *Server) serveTracedRun(w http.ResponseWriter, r *http.Request, spec repro.Spec, plan repro.Plan) {
 	res, rec, err := s.runTraced(r, spec, plan)
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
+	var body []byte
+	if err == nil {
+		body, err = wire.NewTracedRunDocumentV2(spec, res, rec).Encode()
 	}
-	body, err := wire.NewTracedRunDocumentV2(spec, res, rec).Encode()
-	if err != nil {
-		s.fail(w, r, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "bypass")
-	w.Write(body) //nolint:errcheck
+	s.serveResult(w, r, body, "bypass", err)
 }
 
 // ---- GET /v2/run ----
@@ -176,124 +162,29 @@ func (s *Server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// A sweep holds one worker slot; its grid fans out on the sweep
-	// engine's own GOMAXPROCS pool, like every nested sweep in the repo.
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
-	}
-	defer release()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	rows := 0
 	// Rows stream in grid order as soon as each point (and every earlier
 	// one) finishes; r.Context() cancellation -- the client hanging up --
-	// drains the whole grid.  Workflow generation goes through the
-	// bounded server cache: axes over workflow.* make specs vary per
-	// point, and each distinct spec pins a multi-thousand-task DAG.
-	err = sweep.Stream(r.Context(), 0, grid,
-		func(ctx context.Context, i int, p wire.ResolvedPoint) (wire.RunDocumentV2, error) {
-			if s.testHookSweepPoint != nil {
-				if err := s.testHookSweepPoint(i); err != nil {
-					return wire.RunDocumentV2{}, err
+	// drains the whole grid.  Each point resolves through the tier chain
+	// like a /v2/run, so it coalesces with identical runs and points, and
+	// only a point that computes takes a worker slot.  A row streams the
+	// canonical body of whichever tier answered, spliced, not re-encoded.
+	s.streamNDJSON(w, r, func(emit func([]byte) error) (any, error) {
+		err := sweep.Stream(r.Context(), 0, grid,
+			func(ctx context.Context, i int, p wire.ResolvedPoint) ([]byte, error) {
+				if s.testHookSweepPoint != nil {
+					if err := s.testHookSweepPoint(i); err != nil {
+						return nil, err
+					}
 				}
-			}
-			return s.sweepPoint(ctx, p)
-		},
-		func(i int, doc wire.RunDocumentV2) error {
-			row := wire.SweepRow{Index: i, RunDocumentV2: doc}
-			if err := enc.Encode(wire.SweepEnvelope{Row: &row}); err != nil {
-				return err
-			}
-			rows++
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return nil
-		})
-	if err != nil {
-		if rows == 0 {
-			s.fail(w, r, statusFor(err), err)
-			return
-		}
-		// Mid-stream the status line is gone; emit the terminal error
-		// envelope instead (unless the client already hung up).
-		s.metrics.errors.Add(1)
-		if r.Context().Err() == nil {
-			enc.Encode(wire.SweepEnvelope{Error: err.Error()}) //nolint:errcheck
-		}
-		return
-	}
-	enc.Encode(wire.SweepEnvelope{Done: &wire.SweepDone{Rows: rows}}) //nolint:errcheck
-}
-
-// sweepPoint produces one grid point's document through the v2 tiers.
-// A point owned by a peer is fetched from it as a standalone /v2/run
-// request -- every materialized point scenario is directly POSTable --
-// which splits the grid across the pool and warms each owner's caches;
-// any peer failure degrades that point to local computation.  Local
-// points consult the disk store before simulating and persist what they
-// compute, so sweeps both feed and benefit from the same
-// content-addressed tier as /v2/run.  Round-tripping a stored or
-// relayed body through DecodeStrict is lossless here: result documents
-// carry no maps and no custom marshalers, so they re-encode
-// byte-identically and a row is the same bytes no matter which tier
-// produced it.
-func (s *Server) sweepPoint(ctx context.Context, p wire.ResolvedPoint) (wire.RunDocumentV2, error) {
-	key := wire.CanonicalRunKeyV2(p.Spec, p.Plan)
-	if s.ring != nil {
-		if owner := s.ring.Owner(wire.KeyHash(key)); owner != s.self {
-			if doc, ok := s.fetchPeerDoc(ctx, owner, p.Scenario); ok {
-				return doc, nil
-			}
-		}
-	}
-	if s.store != nil {
-		if body, ok := s.store.Get(key); ok {
-			var doc wire.RunDocumentV2
-			if err := wire.DecodeStrict(bytes.NewReader(body), &doc); err == nil {
-				return doc, nil
-			}
-		}
-	}
-	wf, err := s.wfCache.GenerateContext(ctx, p.Spec)
-	if err != nil {
-		return wire.RunDocumentV2{}, err
-	}
-	res, err := repro.RunContext(ctx, wf, p.Plan)
-	if err != nil {
-		return wire.RunDocumentV2{}, err
-	}
-	doc := wire.NewRunDocumentV2(p.Spec, res)
-	if s.store != nil {
-		if body, err := doc.Encode(); err == nil {
-			s.store.Put(key, body) //nolint:errcheck // a failed persist only costs a future recompute
-		}
-	}
-	return doc, nil
-}
-
-// fetchPeerDoc relays one scenario to its owning replica and decodes
-// the canonical result body.  false means "compute it here instead":
-// the relay path is an optimization, never a dependency.
-func (s *Server) fetchPeerDoc(ctx context.Context, owner string, sc wire.Scenario) (wire.RunDocumentV2, bool) {
-	raw, err := json.Marshal(sc)
-	if err != nil {
-		return wire.RunDocumentV2{}, false
-	}
-	s.metrics.peerFetches.Add(1)
-	body, err := s.relay.Run(ctx, owner, raw)
-	if err == nil {
-		var doc wire.RunDocumentV2
-		if err := wire.DecodeStrict(bytes.NewReader(body), &doc); err == nil {
-			return doc, true
-		}
-	}
-	s.metrics.peerFailures.Add(1)
-	return wire.RunDocumentV2{}, false
+				body, _, err := s.resolve(ctx, wire.CanonicalRunKeyV2(p.Spec, p.Plan), &p.Scenario, s.computeV2(p.Spec, p.Plan))
+				if err != nil {
+					return nil, err
+				}
+				return wire.AppendSweepRow(nil, i, body)
+			},
+			func(_ int, line []byte) error { return emit(line) })
+		return &wire.SweepDone{Rows: len(grid)}, err
+	})
 }
 
 // ---- GET /v2/advisor ----
@@ -434,38 +325,26 @@ func (s *Server) handleTournamentV2(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	var rows []experiments.TournamentRow
-	err = experiments.TournamentStream(r.Context(), base, bundles, func(row experiments.TournamentRow) error {
-		doc := wire.TournamentRow{
-			Index:         row.Entry.Index,
-			Bundle:        row.Entry.Bundle,
-			RunDocumentV2: wire.NewRunDocumentV2(row.Entry.Spec, row.Result),
+	s.streamNDJSON(w, r, func(emit func([]byte) error) (any, error) {
+		var rows []experiments.TournamentRow
+		err := experiments.TournamentStream(r.Context(), base, bundles, func(row experiments.TournamentRow) error {
+			line, err := rowLine(wire.TournamentRow{
+				Index:         row.Entry.Index,
+				Bundle:        row.Entry.Bundle,
+				RunDocumentV2: wire.NewRunDocumentV2(row.Entry.Spec, row.Result),
+			})
+			if err == nil {
+				err = emit(line)
+			}
+			if err != nil {
+				return err
+			}
+			rows = append(rows, row)
+			return nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		if err := enc.Encode(wire.TournamentEnvelope{Row: &doc}); err != nil {
-			return err
-		}
-		rows = append(rows, row)
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return nil
+		return &wire.TournamentDone{Rows: len(rows), Ranking: experiments.RankTournament(rows)}, nil
 	})
-	if err != nil {
-		if len(rows) == 0 {
-			s.fail(w, r, statusFor(err), err)
-			return
-		}
-		s.metrics.errors.Add(1)
-		if r.Context().Err() == nil {
-			enc.Encode(wire.TournamentEnvelope{Error: err.Error()}) //nolint:errcheck
-		}
-		return
-	}
-	enc.Encode(wire.TournamentEnvelope{Done: &wire.TournamentDone{ //nolint:errcheck
-		Rows:    len(rows),
-		Ranking: experiments.RankTournament(rows),
-	}})
 }

@@ -39,14 +39,17 @@
 // cancellation, so a client hanging up aborts its grid and SIGTERM
 // drains in-flight requests before the process exits.
 //
-// The same determinism extends the v2 cache beyond the process:
+// The same determinism extends the cache beyond the process:
 // Config.StoreDir adds a disk-backed content-addressed tier
 // (internal/store) that survives restarts, and Config.Peers shards the
-// key space across a replica pool on a consistent-hash ring
+// v2 key space across a replica pool on a consistent-hash ring
 // (internal/shard), relaying each /v2/run to its owner and scattering
-// /v2/sweep grids per point.  The tier order is memory -> disk ->
-// owning peer -> compute; every tier serves byte-identical documents,
-// and any store or peer failure degrades to the next tier, never to an
+// /v2/sweep grids per point.  One tier chain -- memory -> disk ->
+// owning peer -> compute, inside the flight group -- answers /v1/run,
+// /v2/run and every /v2/sweep point, so a sweep point coalesces with an
+// identical run and X-Cache names the tier that answered even for a
+// coalesced follower.  Every tier serves byte-identical documents, and
+// any store or peer failure degrades to the next tier, never to an
 // error.
 package server
 
@@ -70,9 +73,12 @@ import (
 // Config sizes the daemon.  The zero value picks sensible defaults.
 type Config struct {
 	// MaxConcurrent bounds how many simulations run at once; <= 0 means
-	// GOMAXPROCS.  (Grid endpoints hold one slot and fan out internally
-	// on the sweep engine's own GOMAXPROCS pool, matching how the CLI
-	// nests sweeps.)
+	// GOMAXPROCS.  Only computation takes a slot: a /v2/sweep fans out on
+	// the sweep engine's GOMAXPROCS pool and admits each point it computes
+	// like a /v2/run, while points answered from a cache tier take none.
+	// The other grid endpoints (/v1/sweep, experiments, tournaments, the
+	// advisor) hold one slot and fan out under it, matching how the CLI
+	// nests sweeps.
 	MaxConcurrent int
 	// QueueDepth bounds how many admitted requests may wait for a worker
 	// slot before new ones are refused with 503; <= 0 means 64.
@@ -158,10 +164,10 @@ type Server struct {
 	self  string
 
 	// testHookPreSim, when set by tests in this package, runs inside the
-	// worker slot just before a /v1/run simulation starts.
+	// worker slot just before the tier chain computes a result.
 	testHookPreSim func()
 	// testHookSweepPoint, when set by tests in this package, runs before
-	// each sweep grid point simulates; returning an error fails that
+	// each sweep grid point is produced; returning an error fails that
 	// point, which is how tests force a mid-stream failure.
 	testHookSweepPoint func(index int) error
 }

@@ -1,6 +1,11 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"strconv"
+
 	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/exec"
@@ -178,6 +183,31 @@ func ratio(num, den float64) float64 {
 type SweepRow struct {
 	Index int `json:"index"`
 	RunDocumentV2
+}
+
+// AppendSweepRow appends one v2 sweep row line to dst: body, a
+// canonical run document, compacted and spliced into
+// {"row":{"index":N,...}} plus the newline.  The line is byte-identical
+// to encoding SweepEnvelope{Row: &SweepRow{Index: N, RunDocumentV2:
+// doc}} with a json.Encoder, so a row streams the bytes any cache tier
+// holds without decoding them.  A body that is not a JSON object is an
+// error.
+func AppendSweepRow(dst []byte, index int, body []byte) ([]byte, error) {
+	var doc bytes.Buffer
+	if err := json.Compact(&doc, body); err != nil {
+		return dst, fmt.Errorf("wire: sweep row %d: %w", index, err)
+	}
+	obj := doc.Bytes()
+	if obj[0] != '{' {
+		return dst, fmt.Errorf("wire: sweep row %d: body is not a JSON object", index)
+	}
+	dst = append(dst, `{"row":{"index":`...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	if len(obj) > 2 {
+		dst = append(dst, ',')
+	}
+	dst = append(dst, obj[1:]...)
+	return append(dst, '}', '\n'), nil
 }
 
 // SweepDone is the success sentinel of a sweep stream: how many rows

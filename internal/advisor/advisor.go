@@ -6,13 +6,11 @@
 package advisor
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/cost"
-	"repro/internal/dag"
 	"repro/internal/exec"
 	"repro/internal/units"
 )
@@ -23,18 +21,6 @@ type Option struct {
 	Processors int
 	Cost       units.Money
 	Time       units.Duration
-}
-
-// Explore measures the provisioning options for wf by running the
-// Question-1 sweep through the concurrent sweep engine and converting
-// the points into options: the one-call path from "which pool size?" to
-// a ranked decision basis.
-func Explore(ctx context.Context, wf *dag.Workflow, processors []int, plan core.Plan) ([]Option, error) {
-	points, err := core.ProvisioningSweepContext(ctx, wf, processors, plan)
-	if err != nil {
-		return nil, fmt.Errorf("advisor: explore: %w", err)
-	}
-	return FromSweep(points), nil
 }
 
 // FromSweep converts provisioning-sweep points into options.

@@ -1,9 +1,6 @@
 package advisor
 
 import (
-	"context"
-	"errors"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -111,37 +108,6 @@ func TestRecommendOnRealSweep(t *testing.T) {
 	}
 	if got.Processors != 16 {
 		t.Errorf("measured sweep recommends %d procs, want 16", got.Processors)
-	}
-}
-
-func TestExploreMatchesSweep(t *testing.T) {
-	w, err := montage.Cached(montage.OneDegree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	procs := []int{1, 4, 16}
-	points, err := core.ProvisioningSweep(w, procs, core.DefaultPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Explore(context.Background(), w, procs, core.DefaultPlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := FromSweep(points); !reflect.DeepEqual(got, want) {
-		t.Errorf("Explore = %+v, want %+v", got, want)
-	}
-}
-
-func TestExploreCancellation(t *testing.T) {
-	w, err := montage.Cached(montage.OneDegree())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := Explore(ctx, w, []int{1, 2}, core.DefaultPlan()); !errors.Is(err, context.Canceled) {
-		t.Errorf("Explore under canceled ctx: %v, want context.Canceled", err)
 	}
 }
 

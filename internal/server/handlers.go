@@ -7,12 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro"
 	"repro/internal/advisor"
-	"repro/internal/dag"
 	"repro/internal/datamgmt"
 	"repro/internal/experiments"
 	"repro/internal/report"
@@ -87,24 +87,37 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, http.StatusBadRequest, err)
 		return
 	}
-	body, tier, err := s.resolve(r.Context(), repro.CanonicalRunKey(spec, plan), nil, func(ctx context.Context) ([]byte, error) {
-		res, err := s.simulate(ctx, spec, plan)
+	body, tier, err := s.resolve(r.Context(), s.v1Point(spec, plan, 0))
+	s.serveResult(w, r, body, tier, err)
+}
+
+// point is one deterministic simulation as the tier chain sees it: the
+// cache key that names it, the scenario to relay when another replica
+// owns the key (nil skips the peer tier: a /v1 point, or a run a peer
+// already relayed, which must not forward again), and the compute tier
+// that simulates it and encodes its canonical body.
+type point struct {
+	key     string
+	relay   *wire.Scenario
+	compute func(ctx context.Context) ([]byte, error)
+}
+
+// v1Point is the /v1/run of (spec, plan) in the v1 key space.  A
+// ccr > 0 first rescales every file of the workflow to that CCR at the
+// plan's bandwidth (the /v1/sweep ccrs axis, which also renames the
+// workflow), under the run's key extended with the CCR.
+func (s *Server) v1Point(spec repro.Spec, plan repro.Plan, ccr float64) point {
+	key := repro.CanonicalRunKey(spec, plan)
+	if ccr > 0 {
+		key += fmt.Sprintf("|v1ccr=%g", ccr)
+	}
+	return point{key: key, compute: func(ctx context.Context) ([]byte, error) {
+		res, err := s.simulate(ctx, spec, plan, ccr)
 		if err != nil {
 			return nil, err
 		}
 		return repro.NewRunDocument(res).Encode()
-	})
-	s.serveResult(w, r, body, tier, err)
-}
-
-// simulate generates spec's workflow through the bounded memo and runs
-// plan on it.
-func (s *Server) simulate(ctx context.Context, spec repro.Spec, plan repro.Plan) (repro.Result, error) {
-	wf, err := s.wfCache.GenerateContext(ctx, spec)
-	if err != nil {
-		return repro.Result{}, err
-	}
-	return repro.RunContext(ctx, wf, plan)
+	}}
 }
 
 // resolve answers one deterministic simulation from the first tier that
@@ -114,29 +127,27 @@ func (s *Server) simulate(ctx context.Context, spec repro.Spec, plan repro.Plan)
 // memory is free, a disk read is cheap, a peer hop costs a LAN round
 // trip, and a simulation costs seconds of CPU.
 //
-// Runs and sweep points all resolve here.  Everything past the memory
+// Runs and grid points all resolve here.  Everything past the memory
 // lookup runs inside the flight group, so a herd of identical requests
 // costs one of whichever tier answers, and every follower names the
 // tier that answered.  Only compute takes a worker slot; nothing holds
-// one while it waits on a flight.  sc is the scenario to relay when
-// another replica owns key; nil skips the peer tier (a /v1 request, or
-// one a peer already relayed, which must not forward again).  A store
-// or peer failure degrades to the next tier, never to an error.
-func (s *Server) resolve(ctx context.Context, key string, sc *wire.Scenario, compute func(ctx context.Context) ([]byte, error)) ([]byte, string, error) {
-	if body, ok := s.cache.Get(key); ok {
+// one while it waits on a flight.  A store or peer failure degrades to
+// the next tier, never to an error.
+func (s *Server) resolve(ctx context.Context, p point) ([]byte, string, error) {
+	if body, ok := s.cache.Get(p.key); ok {
 		return body, "hit", nil
 	}
-	a, shared, err := s.flights.Do(ctx, key, func(ctx context.Context) (answer, error) {
+	a, shared, err := s.flights.Do(ctx, p.key, func(ctx context.Context) (answer, error) {
 		if s.store != nil {
-			if body, ok := s.store.Get(key); ok {
-				s.cache.Put(key, body)
+			if body, ok := s.store.Get(p.key); ok {
+				s.cache.Put(p.key, body)
 				return answer{body, "store"}, nil
 			}
 		}
-		if sc != nil && s.ring != nil {
-			if owner := s.ring.Owner(wire.KeyHash(key)); owner != s.self {
+		if p.relay != nil && s.ring != nil {
+			if owner := s.ring.Owner(wire.KeyHash(p.key)); owner != s.self {
 				s.metrics.peerFetches.Add(1)
-				raw, err := json.Marshal(sc)
+				raw, err := json.Marshal(p.relay)
 				var body []byte
 				if err == nil {
 					body, err = s.relay.Run(ctx, owner, raw)
@@ -146,7 +157,7 @@ func (s *Server) resolve(ctx context.Context, key string, sc *wire.Scenario, com
 					err = wire.DecodeStrict(bytes.NewReader(body), new(wire.RunDocumentV2))
 				}
 				if err == nil {
-					s.cache.Put(key, body)
+					s.cache.Put(p.key, body)
 					return answer{body, "peer"}, nil
 				}
 				// The owner is down, slow or garbled: compute here.  The
@@ -164,13 +175,13 @@ func (s *Server) resolve(ctx context.Context, key string, sc *wire.Scenario, com
 			s.testHookPreSim()
 		}
 		s.metrics.simulations.Add(1)
-		body, err := compute(ctx)
+		body, err := p.compute(ctx)
 		if err != nil {
 			return answer{}, err
 		}
-		s.cache.Put(key, body)
+		s.cache.Put(p.key, body)
 		if s.store != nil {
-			s.store.Put(key, body) //nolint:errcheck // a failed persist only costs a future recompute
+			s.store.Put(p.key, body) //nolint:errcheck // a failed persist only costs a future recompute
 		}
 		return answer{body, "miss"}, nil
 	})
@@ -178,6 +189,25 @@ func (s *Server) resolve(ctx context.Context, key string, sc *wire.Scenario, com
 		s.metrics.coalesced.Add(1)
 	}
 	return a.body, a.tier, err
+}
+
+// resolveGrid resolves every grid point through the tier chain on the
+// sweep engine's GOMAXPROCS pool and hands each body to emit in grid
+// order, as soon as it and every earlier point are done.  This is the
+// one grid path of the server: /v1/sweep, /v2/sweep and both advisors
+// run here, so a point coalesces with an identical run or point, and
+// only a point that computes takes a worker slot.  Canceling ctx (the
+// client hanging up) drains the whole grid.
+func (s *Server) resolveGrid(ctx context.Context, grid []point, emit func(i int, body []byte) error) error {
+	return sweep.Stream(ctx, 0, grid, func(ctx context.Context, i int, p point) ([]byte, error) {
+		if s.testHookSweepPoint != nil {
+			if err := s.testHookSweepPoint(i); err != nil {
+				return nil, err
+			}
+		}
+		body, _, err := s.resolve(ctx, p)
+		return body, err
+	}, emit)
 }
 
 // serveResult writes one canonical result body, naming the tier that
@@ -262,19 +292,6 @@ type SweepRequest struct {
 	CCRs       []float64 `json:"ccrs,omitempty"`
 }
 
-// sweepRow is one grid point's result within a /v1/sweep stream.
-type sweepRow struct {
-	Index int     `json:"index"`
-	CCR   float64 `json:"ccr,omitempty"`
-	repro.RunDocument
-}
-
-type gridPoint struct {
-	procs int
-	mode  datamgmt.Mode
-	ccr   float64 // 0 means "leave the workflow's CCR alone"
-}
-
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -290,6 +307,16 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if len(procsAxis) == 0 {
 		procsAxis = []int{plan.Processors}
 	}
+	ccrAxis := req.CCRs
+	if len(ccrAxis) == 0 {
+		ccrAxis = []float64{0}
+	}
+	// Bound the cross product before building it: a 1 MB body can name
+	// billions of points.
+	if len(procsAxis)*max(len(req.Modes), 1)*len(ccrAxis) > wire.MaxGridPoints {
+		s.fail(w, r, http.StatusBadRequest, fmt.Errorf("server: sweep grid exceeds %d points", wire.MaxGridPoints))
+		return
+	}
 	modesAxis := []datamgmt.Mode{plan.Mode}
 	if len(req.Modes) > 0 {
 		modesAxis = modesAxis[:0]
@@ -302,11 +329,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			modesAxis = append(modesAxis, mode)
 		}
 	}
-	ccrAxis := req.CCRs
-	if len(ccrAxis) == 0 {
-		ccrAxis = []float64{0}
-	}
-	var grid []gridPoint
+	grid := make([]point, 0, len(procsAxis)*len(modesAxis)*len(ccrAxis))
 	for _, procs := range procsAxis {
 		if procs < 0 {
 			s.fail(w, r, http.StatusBadRequest, fmt.Errorf("server: negative processor count %d", procs))
@@ -318,74 +341,31 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 					s.fail(w, r, http.StatusBadRequest, fmt.Errorf("server: negative CCR %v", ccr))
 					return
 				}
-				grid = append(grid, gridPoint{procs: procs, mode: mode, ccr: ccr})
+				p := plan
+				p.Processors, p.Mode = procs, mode
+				grid = append(grid, s.v1Point(spec, p, ccr))
 			}
 		}
 	}
 
-	// A sweep holds one worker slot; its grid fans out on the sweep
-	// engine's own GOMAXPROCS pool, like every nested sweep in the repo.
-	release, err := s.admit(r.Context())
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
-	}
-	defer release()
-	wf, err := s.wfCache.GenerateContext(r.Context(), spec)
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return
-	}
-	// Rescale once per distinct CCR, not once per grid point: the scaled
-	// workflow is independent of the processor and mode axes, and cloning
-	// a multi-thousand-task DAG per point is pure waste.
-	scaledByCCR := make(map[float64]*dag.Workflow)
-	for _, ccr := range ccrAxis {
-		if ccr == 0 {
-			continue
-		}
-		if _, ok := scaledByCCR[ccr]; ok {
-			continue
-		}
-		scaled, err := wf.RescaleCCR(ccr, plan.Bandwidth)
-		if err != nil {
-			s.fail(w, r, http.StatusBadRequest, err)
-			return
-		}
-		scaledByCCR[ccr] = scaled
-	}
-
-	// Rows stream in grid order as soon as each point (and every earlier
-	// one) finishes; r.Context() cancellation -- the client hanging up --
-	// drains the whole grid.
+	// A ccr == 0 point is its plan's /v1/run, cache entry included.  A
+	// row splices the body of whichever tier answered, with a positive
+	// CCR (the innermost axis) leading the document's fields.
 	s.streamNDJSON(w, r, func(emit func([]byte) error) (any, error) {
-		err := sweep.Stream(r.Context(), 0, grid,
-			func(ctx context.Context, i int, p gridPoint) (repro.RunDocument, error) {
-				if s.testHookSweepPoint != nil {
-					if err := s.testHookSweepPoint(i); err != nil {
-						return repro.RunDocument{}, err
-					}
-				}
-				pointPlan := plan
-				pointPlan.Processors = p.procs
-				pointPlan.Mode = p.mode
-				pointWf := wf
-				if p.ccr > 0 {
-					pointWf = scaledByCCR[p.ccr]
-				}
-				res, err := repro.RunContext(ctx, pointWf, pointPlan)
-				if err != nil {
-					return repro.RunDocument{}, err
-				}
-				return repro.NewRunDocument(res), nil
-			},
-			func(i int, doc repro.RunDocument) error {
-				line, err := rowLine(sweepRow{Index: i, CCR: grid[i].ccr, RunDocument: doc})
+		err := s.resolveGrid(r.Context(), grid, func(i int, body []byte) error {
+			if ccr := ccrAxis[i%len(ccrAxis)]; ccr > 0 {
+				num, err := json.Marshal(ccr)
 				if err != nil {
 					return err
 				}
-				return emit(line)
-			})
+				body = slices.Concat([]byte(`{"ccr":`), num, []byte{','}, body[1:])
+			}
+			line, err := wire.AppendSweepRow(nil, i, body)
+			if err != nil {
+				return err
+			}
+			return emit(line)
+		})
 		return &wire.SweepDone{Rows: len(grid)}, err
 	})
 }
@@ -463,12 +443,28 @@ type advisorOption struct {
 	Hours       float64 `json:"hours"`
 }
 
+func toAdvisorOption(o advisor.Option) advisorOption {
+	return advisorOption{Processors: o.Processors, CostDollars: o.Cost.Dollars(), Hours: o.Time.Hours()}
+}
+
 func toAdvisorOptions(opts []advisor.Option) []advisorOption {
 	out := make([]advisorOption, len(opts))
 	for i, o := range opts {
-		out[i] = advisorOption{Processors: o.Processors, CostDollars: o.Cost.Dollars(), Hours: o.Time.Hours()}
+		out[i] = toAdvisorOption(o)
 	}
 	return out
+}
+
+// advisorDoc is an advisor response.  C is the wire shape of a picked
+// option: advisorOption on /v1, advisorChoiceV2 (with its scenario) on
+// /v2.  A pick is absent when no option qualifies.
+type advisorDoc[C any] struct {
+	Workflow    string          `json:"workflow"`
+	Options     []advisorOption `json:"options"`
+	Pareto      []advisorOption `json:"pareto"`
+	Recommended *C              `json:"recommended,omitempty"`
+	Cheapest    *C              `json:"cheapest_within_deadline,omitempty"`
+	Fastest     *C              `json:"fastest_under_budget,omitempty"`
 }
 
 // advisorQuery is the parsed, validated form of an advisor request,
@@ -500,6 +496,9 @@ func parseAdvisorQuery(r *http.Request) (advisorQuery, error) {
 	}
 	out := advisorQuery{spec: spec, plan: plan, procs: repro.GeometricProcessors(), slack: 0.10}
 	if list := q.Get("processors"); list != "" {
+		if strings.Count(list, ",") >= wire.MaxGridPoints {
+			return advisorQuery{}, fmt.Errorf("server: processor list exceeds %d sizes", wire.MaxGridPoints)
+		}
 		out.procs = out.procs[:0]
 		for _, field := range strings.Split(list, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(field))
@@ -533,68 +532,72 @@ func parseAdvisorQuery(r *http.Request) (advisorQuery, error) {
 	return out, nil
 }
 
-// explore runs the advisor's provisioning sweep inside a worker slot.
-// The boolean reports success; on failure the response is written.
-func (s *Server) explore(w http.ResponseWriter, r *http.Request) (advisorQuery, []advisor.Option, bool) {
+// scenario is the v2 scenario of the advisor's query on n processors:
+// the run that measures that option and the one /v2/advisor echoes.
+func (aq advisorQuery) scenario(n int) wire.Scenario {
+	plan := aq.plan
+	plan.Processors = n
+	return wire.EchoScenario(aq.spec, plan)
+}
+
+// advise answers an advisor request on either surface.  Every pool
+// size is measured as the v2 run of the scenario the query echoes for
+// it, through the tier chain, so an option is cached, coalesced and
+// counted like that run, and POSTing a pick's scenario to /v2/run finds
+// it cached.  choice renders each picked option.
+func advise[C any](s *Server, w http.ResponseWriter, r *http.Request, choice func(aq advisorQuery, o advisor.Option) C) {
 	aq, err := parseAdvisorQuery(r)
 	if err != nil {
 		s.fail(w, r, http.StatusBadRequest, err)
-		return advisorQuery{}, nil, false
+		return
 	}
-	release, err := s.admit(r.Context())
+	grid := make([]point, len(aq.procs))
+	for i, n := range aq.procs {
+		sc := aq.scenario(n)
+		spec, plan, err := sc.Resolve()
+		if err != nil {
+			s.fail(w, r, http.StatusBadRequest, err)
+			return
+		}
+		grid[i] = s.v2Point(spec, plan, &sc)
+	}
+	opts := make([]advisor.Option, len(grid))
+	err = s.resolveGrid(r.Context(), grid, func(i int, body []byte) error {
+		var doc wire.RunDocumentV2
+		if err := wire.DecodeStrict(bytes.NewReader(body), &doc); err != nil {
+			return err
+		}
+		opts[i] = advisor.Option{Processors: aq.procs[i], Cost: doc.Total, Time: doc.Metrics.ExecTime}
+		return nil
+	})
 	if err != nil {
 		s.fail(w, r, statusFor(err), err)
-		return advisorQuery{}, nil, false
+		return
 	}
-	defer release()
-	wf, err := s.wfCache.GenerateContext(r.Context(), aq.spec)
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return advisorQuery{}, nil, false
+	pick := func(o advisor.Option, err error) *C {
+		if err != nil {
+			return nil
+		}
+		c := choice(aq, o)
+		return &c
 	}
-	opts, err := advisor.Explore(r.Context(), wf, aq.procs, aq.plan)
-	if err != nil {
-		s.fail(w, r, statusFor(err), err)
-		return advisorQuery{}, nil, false
+	doc := advisorDoc[C]{
+		Workflow:    aq.spec.Name,
+		Options:     toAdvisorOptions(opts),
+		Pareto:      toAdvisorOptions(advisor.ParetoFrontier(opts)),
+		Recommended: pick(advisor.Recommend(opts, aq.slack)),
 	}
-	return aq, opts, true
+	if aq.deadline != nil {
+		doc.Cheapest = pick(advisor.CheapestWithin(opts, *aq.deadline))
+	}
+	if aq.budget != nil {
+		doc.Fastest = pick(advisor.FastestUnder(opts, *aq.budget))
+	}
+	writeJSON(w, http.StatusOK, doc)
 }
 
 func (s *Server) handleAdvisor(w http.ResponseWriter, r *http.Request) {
-	aq, opts, ok := s.explore(w, r)
-	if !ok {
-		return
-	}
-	spec, slack, deadline, budget := aq.spec, aq.slack, aq.deadline, aq.budget
-	resp := struct {
-		Workflow    string          `json:"workflow"`
-		Options     []advisorOption `json:"options"`
-		Pareto      []advisorOption `json:"pareto"`
-		Recommended *advisorOption  `json:"recommended,omitempty"`
-		Cheapest    *advisorOption  `json:"cheapest_within_deadline,omitempty"`
-		Fastest     *advisorOption  `json:"fastest_under_budget,omitempty"`
-	}{
-		Workflow: spec.Name,
-		Options:  toAdvisorOptions(opts),
-		Pareto:   toAdvisorOptions(advisor.ParetoFrontier(opts)),
-	}
-	if rec, err := advisor.Recommend(opts, slack); err == nil {
-		o := advisorOption{Processors: rec.Processors, CostDollars: rec.Cost.Dollars(), Hours: rec.Time.Hours()}
-		resp.Recommended = &o
-	}
-	if deadline != nil {
-		if o, err := advisor.CheapestWithin(opts, *deadline); err == nil {
-			d := advisorOption{Processors: o.Processors, CostDollars: o.Cost.Dollars(), Hours: o.Time.Hours()}
-			resp.Cheapest = &d
-		}
-	}
-	if budget != nil {
-		if o, err := advisor.FastestUnder(opts, *budget); err == nil {
-			d := advisorOption{Processors: o.Processors, CostDollars: o.Cost.Dollars(), Hours: o.Time.Hours()}
-			resp.Fastest = &d
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	advise(s, w, r, func(_ advisorQuery, o advisor.Option) advisorOption { return toAdvisorOption(o) })
 }
 
 // ---- GET /healthz and /metrics ----

@@ -21,7 +21,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/obs"
 	"repro/internal/shard"
-	"repro/internal/sweep"
 	"repro/wire"
 )
 
@@ -50,20 +49,20 @@ func (s *Server) handleRunV2(w http.ResponseWriter, r *http.Request) {
 	if r.Header.Get(shard.RelayHeader) == "" {
 		relay = &sc
 	}
-	body, tier, err := s.resolve(r.Context(), wire.CanonicalRunKeyV2(spec, plan), relay, s.computeV2(spec, plan))
+	body, tier, err := s.resolve(r.Context(), s.v2Point(spec, plan, relay))
 	s.serveResult(w, r, body, tier, err)
 }
 
-// computeV2 returns the compute tier of one v2 run: simulate and encode
-// the canonical v2 document.
-func (s *Server) computeV2(spec repro.Spec, plan repro.Plan) func(ctx context.Context) ([]byte, error) {
-	return func(ctx context.Context) ([]byte, error) {
-		res, err := s.simulate(ctx, spec, plan)
+// v2Point is the /v2/run of (spec, plan): the v2 key space, the
+// canonical v2 document, and relay as the scenario an owning peer runs.
+func (s *Server) v2Point(spec repro.Spec, plan repro.Plan, relay *wire.Scenario) point {
+	return point{key: wire.CanonicalRunKeyV2(spec, plan), relay: relay, compute: func(ctx context.Context) ([]byte, error) {
+		res, err := s.simulate(ctx, spec, plan, 0)
 		if err != nil {
 			return nil, err
 		}
 		return wire.NewRunDocumentV2(spec, res).Encode()
-	}
+	}}
 }
 
 // runTraced executes one flight-recorded simulation inside a worker
@@ -78,7 +77,7 @@ func (s *Server) runTraced(r *http.Request, spec repro.Spec, plan repro.Plan) (r
 	rec := obs.NewRecorder(0)
 	plan.Recorder = rec
 	s.metrics.simulations.Add(1)
-	res, err := s.simulate(r.Context(), spec, plan)
+	res, err := s.simulate(r.Context(), spec, plan, 0)
 	if err != nil {
 		return repro.Result{}, nil, err
 	}
@@ -162,28 +161,21 @@ func (s *Server) handleSweepV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Rows stream in grid order as soon as each point (and every earlier
-	// one) finishes; r.Context() cancellation -- the client hanging up --
-	// drains the whole grid.  Each point resolves through the tier chain
-	// like a /v2/run, so it coalesces with identical runs and points, and
-	// only a point that computes takes a worker slot.  A row streams the
+	points := make([]point, len(grid))
+	for i := range grid {
+		points[i] = s.v2Point(grid[i].Spec, grid[i].Plan, &grid[i].Scenario)
+	}
+	// Each point is the /v2/run of its scenario; a row streams the
 	// canonical body of whichever tier answered, spliced, not re-encoded.
 	s.streamNDJSON(w, r, func(emit func([]byte) error) (any, error) {
-		err := sweep.Stream(r.Context(), 0, grid,
-			func(ctx context.Context, i int, p wire.ResolvedPoint) ([]byte, error) {
-				if s.testHookSweepPoint != nil {
-					if err := s.testHookSweepPoint(i); err != nil {
-						return nil, err
-					}
-				}
-				body, _, err := s.resolve(ctx, wire.CanonicalRunKeyV2(p.Spec, p.Plan), &p.Scenario, s.computeV2(p.Spec, p.Plan))
-				if err != nil {
-					return nil, err
-				}
-				return wire.AppendSweepRow(nil, i, body)
-			},
-			func(_ int, line []byte) error { return emit(line) })
-		return &wire.SweepDone{Rows: len(grid)}, err
+		err := s.resolveGrid(r.Context(), points, func(i int, body []byte) error {
+			line, err := wire.AppendSweepRow(nil, i, body)
+			if err != nil {
+				return err
+			}
+			return emit(line)
+		})
+		return &wire.SweepDone{Rows: len(points)}, err
 	})
 }
 
@@ -199,46 +191,14 @@ type advisorChoiceV2 struct {
 }
 
 func (s *Server) handleAdvisorV2(w http.ResponseWriter, r *http.Request) {
-	aq, opts, ok := s.explore(w, r)
-	if !ok {
-		return
-	}
-	choice := func(o advisor.Option) *advisorChoiceV2 {
-		plan := aq.plan
-		plan.Processors = o.Processors
-		return &advisorChoiceV2{
+	advise(s, w, r, func(aq advisorQuery, o advisor.Option) advisorChoiceV2 {
+		return advisorChoiceV2{
 			Processors:  o.Processors,
 			CostDollars: o.Cost.Dollars(),
 			Hours:       o.Time.Hours(),
-			Scenario:    wire.EchoScenario(aq.spec, plan),
+			Scenario:    aq.scenario(o.Processors),
 		}
-	}
-	resp := struct {
-		Workflow    string           `json:"workflow"`
-		Options     []advisorOption  `json:"options"`
-		Pareto      []advisorOption  `json:"pareto"`
-		Recommended *advisorChoiceV2 `json:"recommended,omitempty"`
-		Cheapest    *advisorChoiceV2 `json:"cheapest_within_deadline,omitempty"`
-		Fastest     *advisorChoiceV2 `json:"fastest_under_budget,omitempty"`
-	}{
-		Workflow: aq.spec.Name,
-		Options:  toAdvisorOptions(opts),
-		Pareto:   toAdvisorOptions(advisor.ParetoFrontier(opts)),
-	}
-	if rec, err := advisor.Recommend(opts, aq.slack); err == nil {
-		resp.Recommended = choice(rec)
-	}
-	if aq.deadline != nil {
-		if o, err := advisor.CheapestWithin(opts, *aq.deadline); err == nil {
-			resp.Cheapest = choice(o)
-		}
-	}
-	if aq.budget != nil {
-		if o, err := advisor.FastestUnder(opts, *aq.budget); err == nil {
-			resp.Fastest = choice(o)
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	})
 }
 
 // ---- POST /v2/experiments/{name} ----

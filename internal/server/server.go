@@ -44,10 +44,11 @@
 // (internal/store) that survives restarts, and Config.Peers shards the
 // v2 key space across a replica pool on a consistent-hash ring
 // (internal/shard), relaying each /v2/run to its owner and scattering
-// /v2/sweep grids per point.  One tier chain -- memory -> disk ->
-// owning peer -> compute, inside the flight group -- answers /v1/run,
-// /v2/run and every /v2/sweep point, so a sweep point coalesces with an
-// identical run and X-Cache names the tier that answered even for a
+// /v2/sweep grids and advisor pool sizes per point.  One tier chain --
+// memory -> disk -> owning peer -> compute, inside the flight group --
+// answers both runs and every point of both sweeps and both advisors,
+// so a grid point is cached, stored, counted and coalesced with an
+// identical run, and X-Cache names the tier that answered even for a
 // coalesced follower.  Every tier serves byte-identical documents, and
 // any store or peer failure degrades to the next tier, never to an
 // error.
@@ -64,6 +65,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro"
 	"repro/internal/montage"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -73,12 +75,14 @@ import (
 // Config sizes the daemon.  The zero value picks sensible defaults.
 type Config struct {
 	// MaxConcurrent bounds how many simulations run at once; <= 0 means
-	// GOMAXPROCS.  Only computation takes a slot: a /v2/sweep fans out on
-	// the sweep engine's GOMAXPROCS pool and admits each point it computes
-	// like a /v2/run, while points answered from a cache tier take none.
-	// The other grid endpoints (/v1/sweep, experiments, tournaments, the
-	// advisor) hold one slot and fan out under it, matching how the CLI
-	// nests sweeps.
+	// GOMAXPROCS.  Only computation takes a slot: /v1/sweep, /v2/sweep
+	// and both advisors fan out on the sweep engine's GOMAXPROCS pool and
+	// admit each point they compute like a run, one point at a time, so
+	// their points share the QueueDepth bound with runs (under overload a
+	// grid gets a 503, or an error line once rows have streamed); points
+	// answered from a cache tier take none.  Experiments and tournaments
+	// hold one slot and fan out under it, matching how the CLI nests
+	// sweeps.
 	MaxConcurrent int
 	// QueueDepth bounds how many admitted requests may wait for a worker
 	// slot before new ones are refused with 503; <= 0 means 64.
@@ -271,6 +275,20 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
+}
+
+// simulate generates spec's workflow through the bounded memo and runs
+// plan on it; ccr > 0 first rescales the workflow to that CCR at the
+// plan's bandwidth (v1Point).
+func (s *Server) simulate(ctx context.Context, spec repro.Spec, plan repro.Plan, ccr float64) (repro.Result, error) {
+	wf, err := s.wfCache.GenerateContext(ctx, spec)
+	if err == nil && ccr > 0 {
+		wf, err = wf.RescaleCCR(ccr, plan.Bandwidth)
+	}
+	if err != nil {
+		return repro.Result{}, err
+	}
+	return repro.RunContext(ctx, wf, plan)
 }
 
 // Serve accepts connections on l until ctx is canceled, then drains:
